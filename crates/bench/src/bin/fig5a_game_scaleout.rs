@@ -2,7 +2,7 @@
 //! number of servers grows, for every system.
 
 use aeon_apps::GameWorkloadConfig;
-use aeon_bench::{cell, header, live_game_run, pool_size_knob, run_game};
+use aeon_bench::{cell, header, run_game};
 use aeon_sim::SystemKind;
 
 fn main() {
@@ -22,13 +22,5 @@ fn main() {
             row.push(cell(metrics.throughput(Some(horizon))));
         }
         println!("{}", row.join("\t"));
-    }
-    // Optional live validation on the real runtime's sharded worker pool
-    // (`--pool-size N` / AEON_POOL_SIZE).
-    if let Some(pool) = pool_size_knob() {
-        match live_game_run(pool, 4, 50) {
-            Ok(report) => println!("{}", report.footnote("game scale-out")),
-            Err(e) => eprintln!("live run failed: {e}"),
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! by sweeping the offered load.
 
 use aeon_apps::GameWorkloadConfig;
-use aeon_bench::{cell, header, live_game_run, pool_size_knob, run_game};
+use aeon_bench::{cell, header, run_game};
 use aeon_sim::SystemKind;
 
 fn main() {
@@ -29,14 +29,6 @@ fn main() {
                 cell(metrics.mean_latency_ms()),
                 cell(metrics.latency_percentile_ms(0.99)),
             );
-        }
-    }
-    // Optional live latency validation on the real runtime's sharded
-    // worker pool (`--pool-size N` / AEON_POOL_SIZE).
-    if let Some(pool) = pool_size_knob() {
-        match live_game_run(pool, 8, 25) {
-            Ok(report) => println!("{}", report.footnote("game latency")),
-            Err(e) => eprintln!("live run failed: {e}"),
         }
     }
 }

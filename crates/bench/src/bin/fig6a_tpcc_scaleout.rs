@@ -2,7 +2,7 @@
 //! servers grows (one district per server), for every system.
 
 use aeon_apps::TpccWorkloadConfig;
-use aeon_bench::{cell, header, live_tpcc_run, pool_size_knob, run_tpcc};
+use aeon_bench::{cell, header, run_tpcc};
 use aeon_sim::SystemKind;
 
 fn main() {
@@ -22,13 +22,5 @@ fn main() {
             row.push(cell(metrics.throughput(Some(horizon))));
         }
         println!("{}", row.join("\t"));
-    }
-    // Optional live validation on the real runtime's sharded worker pool
-    // (`--pool-size N` / AEON_POOL_SIZE).
-    if let Some(pool) = pool_size_knob() {
-        match live_tpcc_run(pool, 4, 8, 25) {
-            Ok(report) => println!("{}", report.footnote("tpcc scale-out")),
-            Err(e) => eprintln!("live run failed: {e}"),
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! the offered load.
 
 use aeon_apps::TpccWorkloadConfig;
-use aeon_bench::{cell, header, live_tpcc_run, pool_size_knob, run_tpcc};
+use aeon_bench::{cell, header, run_tpcc};
 use aeon_sim::SystemKind;
 
 fn main() {
@@ -27,14 +27,6 @@ fn main() {
                 cell(metrics.mean_latency_ms()),
                 cell(metrics.latency_percentile_ms(0.99)),
             );
-        }
-    }
-    // Optional live latency validation on the real runtime's sharded
-    // worker pool (`--pool-size N` / AEON_POOL_SIZE).
-    if let Some(pool) = pool_size_knob() {
-        match live_tpcc_run(pool, 8, 8, 25) {
-            Ok(report) => println!("{}", report.footnote("tpcc latency")),
-            Err(e) => eprintln!("live run failed: {e}"),
         }
     }
 }

@@ -41,28 +41,9 @@ pub fn run_tpcc(system: SystemKind, config: &TpccWorkloadConfig) -> (Metrics, Si
     (metrics, SimTime::ZERO + config.duration)
 }
 
-/// The worker-pool size knob of the fig5/fig6 drivers: `--pool-size N` on
-/// the command line or the `AEON_POOL_SIZE` environment variable.  When
-/// set, the drivers append a live measurement on a real `AeonRuntime`
-/// whose sharded executor runs with that many resident workers.
-pub fn pool_size_knob() -> Option<usize> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        if arg == "--pool-size" {
-            return argv.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = arg.strip_prefix("--pool-size=") {
-            return v.parse().ok();
-        }
-    }
-    std::env::var("AEON_POOL_SIZE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-}
-
 /// The backend knob of the fig9 driver: `--backend runtime|cluster|sim` on
-/// the command line or the `AEON_BACKEND` environment variable (same
-/// pattern as [`pool_size_knob`]).  The selected backend is built through
+/// the command line or the `AEON_BACKEND` environment variable.  The
+/// selected backend is built through
 /// the config-driven `aeon::deploy` entry point, so the elasticity bench
 /// exercises every execution substrate.
 ///
@@ -101,17 +82,6 @@ pub struct LiveReport {
     pub p50_micros: u64,
     /// 99th-percentile event latency in microseconds.
     pub p99_micros: u64,
-}
-
-impl LiveReport {
-    /// Renders the report as a figure footnote line.
-    pub fn footnote(&self, label: &str) -> String {
-        format!(
-            "# live {label} (pool={}): {:.2} events/s over {} events, \
-             p50={}us p99={}us",
-            self.pool_size, self.throughput, self.events, self.p50_micros, self.p99_micros
-        )
-    }
 }
 
 fn live_report(runtime: &AeonRuntime, pool_size: usize, events: usize, secs: f64) -> LiveReport {

@@ -2,20 +2,20 @@
 //!
 //! A [`History`] records, for one run of an AEON application:
 //!
-//! * per-event *spans* — a logical invocation timestamp taken no later than
-//!   the moment the client submitted the event, and a response timestamp
-//!   taken no earlier than the moment the client observed its completion;
+//! * per-event *spans* — a logical invocation timestamp taken before the
+//!   event can start, and a response timestamp taken no earlier than the
+//!   moment its completion became observable;
 //! * per-context *operation sequences* — the order in which events read and
 //!   wrote each context, as observed inside the context (i.e. under the
 //!   context's activation lock, which serializes all conflicting accesses).
 //!
 //! The timestamps are drawn from a single logical clock, so the real-time
 //! ("happened strictly before") relation between events is well defined.
-//! Because invocation timestamps are taken *before* submission and response
-//! timestamps *after* completion, the recorded spans over-approximate the
-//! true spans; the derived real-time order is therefore a subset of the true
-//! one, which keeps the checker sound (it never reports a false violation
-//! due to timestamping).
+//! Because the backend takes invocation timestamps *before* the event can
+//! start and response timestamps *after* completion, the recorded spans
+//! over-approximate the true spans; the derived real-time order is
+//! therefore a subset of the true one, which keeps the checker sound (it
+//! never reports a false violation due to timestamping).
 
 use aeon_types::{AccessMode, ContextId, EventId, HistorySink};
 use parking_lot::Mutex;
@@ -143,13 +143,6 @@ impl History {
     }
 }
 
-/// A pending invocation token: carries the invocation timestamp taken before
-/// the runtime assigned an [`EventId`] to the submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvocationToken {
-    invoked_at: u64,
-}
-
 #[derive(Debug, Default)]
 struct RecorderInner {
     clock: AtomicU64,
@@ -157,24 +150,23 @@ struct RecorderInner {
     operations: Mutex<BTreeMap<ContextId, Vec<Operation>>>,
 }
 
-/// Thread-safe recorder shared between the workload driver (which records
-/// event spans) and the instrumented contexts (which record per-context
-/// reads and writes).
+/// Thread-safe recorder of event spans and per-context reads and writes.
+/// A live history reaches it through its [`HistorySink`] implementation,
+/// fed by the backend it is installed on.
 ///
 /// Cloning the recorder is cheap; all clones feed the same history.
 ///
 /// # Examples
 ///
 /// ```
-/// use aeon_checker::{HistoryRecorder, OpKind};
-/// use aeon_types::{ContextId, EventId};
+/// use aeon_checker::HistoryRecorder;
+/// use aeon_types::{AccessMode, ContextId, EventId, HistorySink};
 ///
 /// let recorder = HistoryRecorder::new();
-/// let token = recorder.invocation_started();
 /// let event = EventId::new(1);
-/// recorder.bind(token, event);
-/// recorder.record(event, ContextId::new(7), OpKind::Write);
-/// recorder.completed(event);
+/// recorder.invoked(event);
+/// recorder.accessed(event, ContextId::new(7), AccessMode::Exclusive);
+/// recorder.responded(event);
 /// let history = recorder.history();
 /// assert_eq!(history.event_count(), 1);
 /// assert_eq!(history.operation_count(), 1);
@@ -194,36 +186,21 @@ impl HistoryRecorder {
         self.inner.clock.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Takes an invocation timestamp.  Call this *before* submitting the
-    /// event so the recorded span covers the true one.
-    pub fn invocation_started(&self) -> InvocationToken {
-        InvocationToken {
-            invoked_at: self.tick(),
-        }
-    }
-
-    /// Binds a previously taken invocation token to the event id the runtime
-    /// assigned to the submission.
-    pub fn bind(&self, token: InvocationToken, event: EventId) {
+    /// Records the invocation timestamp of an event.  Call this before the
+    /// event can start executing, so the recorded span covers the true one.
+    pub fn begin(&self, event: EventId) {
+        let invoked_at = self.tick();
         self.inner.spans.lock().insert(
             event,
             EventSpan {
-                invoked_at: token.invoked_at,
+                invoked_at,
                 responded_at: None,
             },
         );
     }
 
-    /// Convenience for tests and synchronous drivers: takes the invocation
-    /// timestamp and binds it in one step (only correct when the event has
-    /// not started executing yet).
-    pub fn begin(&self, event: EventId) {
-        let token = self.invocation_started();
-        self.bind(token, event);
-    }
-
-    /// Records the response timestamp of an event.  Call this *after* the
-    /// client observed the completion (e.g. after `EventHandle::wait`).
+    /// Records the response timestamp of an event.  Call this once its
+    /// completion is observable.
     pub fn completed(&self, event: EventId) {
         let at = self.tick();
         let mut spans = self.inner.spans.lock();
@@ -241,9 +218,9 @@ impl HistoryRecorder {
         }
     }
 
-    /// Records a read or write of `context` by `event`.  Instrumented
-    /// contexts call this from inside their method handlers, i.e. while the
-    /// event holds the context's activation lock.
+    /// Records a read or write of `context` by `event`.  Backends call this
+    /// (through [`HistorySink::accessed`]) while the event holds the
+    /// context's object lock.
     pub fn record(&self, event: EventId, context: ContextId, kind: OpKind) {
         let at = self.tick();
         self.inner
@@ -339,11 +316,9 @@ mod tests {
     #[test]
     fn spans_capture_invocation_and_response_order() {
         let rec = HistoryRecorder::new();
-        let t1 = rec.invocation_started();
-        rec.bind(t1, ev(1));
+        rec.begin(ev(1));
         rec.completed(ev(1));
-        let t2 = rec.invocation_started();
-        rec.bind(t2, ev(2));
+        rec.begin(ev(2));
         rec.completed(ev(2));
         let h = rec.history();
         assert!(h.spans[&ev(1)].precedes(&h.spans[&ev(2)]));

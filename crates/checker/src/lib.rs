@@ -13,22 +13,19 @@
 //! * [`check_strict_serializability`] builds the precedence graph (conflict
 //!   edges + real-time edges) and either produces an equivalent serial
 //!   order or a witnessed cycle;
-//! * [`RecordingRegister`] / [`RecordingKv`] are instrumented context
-//!   objects that feed the recorder from inside event handlers;
-//! * [`bank`] is a ready-made concurrent workload (transfers over a bank of
-//!   shared accounts) that exercises multi-ownership, read-only events and
-//!   `async` calls, and checks both a value-level invariant (money is
-//!   conserved) and the order-level property;
 //! * [`generator`] produces synthetic correct and incorrect histories (and
 //!   the [`generator::inject_lost_update`] cyclic mutation) for property
 //!   tests and benchmarks of the checker itself.
+//!
+//! Of the workspace crates it depends on `aeon-types` alone: it knows
+//! histories, not backends.
 //!
 //! # The live recording surface
 //!
 //! Synthetic histories only test the checker; to test the *system*, the
 //! recorder doubles as the canonical [`aeon_types::HistorySink`]: install a
 //! clone on any `aeon_api::Deployment` via `install_history_sink` and the
-//! backend itself feeds it —
+//! backend itself feeds it — applications stay uninstrumented:
 //!
 //! * the gateway/runtime records `invoked` when an event id is assigned
 //!   (before the event can start) and `responded` once the completion is
@@ -40,6 +37,12 @@
 //!   member, restores as one event *writing* every member — which is what
 //!   lets the checker catch a torn (non-atomic) snapshot as a conflict
 //!   cycle through the snapshot event.
+//!
+//! The workspace-level suites (`tests/chaos_serializability.rs`) install a
+//! recorder on the runtime and the cluster, drive the `aeon_apps::bank`
+//! workload (transfers with synchronous and `async` deposit legs, read-only
+//! audits over shared accounts) and check both money conservation and the
+//! order-level property.
 //!
 //! # The distributed freeze protocol being verified
 //!
@@ -61,29 +64,32 @@
 //! # Examples
 //!
 //! ```
-//! use aeon_checker::{bank, check_strict_serializability};
+//! use aeon_checker::{check_strict_serializability, HistoryRecorder};
+//! use aeon_types::{AccessMode, ContextId, EventId, HistorySink};
 //!
-//! # fn main() -> aeon_types::Result<()> {
-//! let config = bank::BankConfig { clients: 2, transfers_per_client: 10, ..Default::default() };
-//! let report = bank::run_bank_workload(&config)?;
-//! assert!(report.is_correct());
-//! # Ok(())
-//! # }
+//! // A backend reports each event's span and accesses to the sink.
+//! let recorder = HistoryRecorder::new();
+//! let (first, second) = (EventId::new(1), EventId::new(2));
+//! let account = ContextId::new(7);
+//! for event in [first, second] {
+//!     recorder.invoked(event);
+//!     recorder.accessed(event, account, AccessMode::Exclusive);
+//!     recorder.responded(event);
+//! }
+//! let order = check_strict_serializability(&recorder.history()).unwrap();
+//! assert_eq!(order.order, vec![first, second]);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bank;
 pub mod checker;
 pub mod generator;
 pub mod history;
-pub mod recording;
 
 pub use checker::{
     check_serializability, check_strict_serializability, EdgeReason, PrecedenceEdge,
     PrecedenceGraph, SerializationOrder, Violation,
 };
 pub use generator::{inject_lost_update, GeneratorConfig};
-pub use history::{EventSpan, History, HistoryRecorder, InvocationToken, OpKind, Operation};
-pub use recording::{RecordingKv, RecordingRegister};
+pub use history::{EventSpan, History, HistoryRecorder, OpKind, Operation};

@@ -1538,3 +1538,188 @@ impl Drop for ClusterInner {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aeon_runtime::Invocation;
+    use aeon_types::args;
+    use std::time::Instant;
+
+    /// An account whose `park` method keeps it activated until the test
+    /// lets go, which fixes the order of the lock requests queued behind it.
+    #[derive(Default)]
+    struct Till {
+        balance: i64,
+        gate: Option<(Sender<()>, Receiver<()>)>,
+    }
+
+    impl ContextObject for Till {
+        fn class_name(&self) -> &str {
+            "Till"
+        }
+
+        fn handle(
+            &mut self,
+            method: &str,
+            args: &Args,
+            _inv: &mut Invocation<'_>,
+        ) -> Result<Value> {
+            match method {
+                "add" => {
+                    self.balance += args.get_i64(0)?;
+                    Ok(Value::from(self.balance))
+                }
+                "read" => Ok(Value::from(self.balance)),
+                "park" => {
+                    let (entered, release) = self.gate.as_ref().expect("a gated till");
+                    entered.send(()).unwrap();
+                    release.recv().unwrap();
+                    Ok(Value::Null)
+                }
+                _ => Err(AeonError::UnknownMethod {
+                    class: "Till".into(),
+                    method: method.into(),
+                }),
+            }
+        }
+
+        fn is_readonly(&self, method: &str) -> bool {
+            method == "read"
+        }
+
+        fn snapshot(&self) -> Value {
+            Value::from(self.balance)
+        }
+
+        fn restore(&mut self, state: &Value) {
+            self.balance = state.as_i64().unwrap_or(0);
+        }
+    }
+
+    /// Moves money between two owned tills inside one event.
+    struct Teller;
+
+    impl ContextObject for Teller {
+        fn class_name(&self) -> &str {
+            "Teller"
+        }
+
+        fn handle(
+            &mut self,
+            _method: &str,
+            args: &Args,
+            inv: &mut Invocation<'_>,
+        ) -> Result<Value> {
+            let (from, to, amount) = (args.get_context(0)?, args.get_context(1)?, args.get_i64(2)?);
+            inv.call(from, "add", args![-amount])?;
+            inv.call(to, "add", args![amount])
+        }
+    }
+
+    /// A transfer whose deposit leg waits for an account that a migration
+    /// takes first must follow the account to its new server instead of
+    /// failing after the withdrawal already ran; so must an event waiting
+    /// at the account as its sequencer.
+    #[test]
+    fn a_call_queued_behind_a_migration_follows_the_context() {
+        let cluster = Cluster::builder()
+            .servers(2)
+            .worker_threads(4)
+            .build()
+            .unwrap();
+        cluster.register_class_factory(
+            "Till",
+            Arc::new(|state: &Value| {
+                let mut till = Till::default();
+                till.restore(state);
+                Box::new(till) as Box<dyn ContextObject>
+            }),
+        );
+        let servers = cluster.servers();
+        let teller = cluster
+            .create_context(Box::new(Teller), Placement::Server(servers[0]))
+            .unwrap();
+        let from = cluster
+            .create_owned_context(
+                Box::new(Till {
+                    balance: 100,
+                    gate: None,
+                }),
+                &[teller],
+            )
+            .unwrap();
+        let (entered_tx, entered) = bounded(1);
+        let (release, release_rx) = bounded(1);
+        let gate = Some((entered_tx, release_rx));
+        let to = cluster
+            .create_owned_context(Box::new(Till { balance: 100, gate }), &[teller])
+            .unwrap();
+        let leaf = cluster
+            .create_owned_context(Box::new(Till::default()), &[to])
+            .unwrap();
+        assert_eq!(cluster.placement_of(to).unwrap(), servers[0]);
+        let queued_on_to = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while cluster.inner.nodes.lock()[&servers[0]].queued_on(to) < n {
+                assert!(Instant::now() < deadline, "{n} requests never queued");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        let client = cluster.client();
+        std::thread::scope(|scope| {
+            // An event parks inside `to`, holding its activation lock.
+            let parked = client.submit_event(to, "park", args![]).unwrap();
+            entered.recv_timeout(Duration::from_secs(10)).unwrap();
+            // A migration of `to` queues behind it ...
+            let migration = scope.spawn(|| cluster.migrate_context(to, servers[1]));
+            queued_on_to(1);
+            // ... then the transfer's deposit leg, after its withdrawal ran.
+            let transfer = client
+                .submit_event(teller, "transfer", args![from, to, 30i64])
+                .unwrap();
+            queued_on_to(2);
+            // ... then an event on `leaf`, sequenced at its owner `to`, whose
+            // route was read before the migration moved the mapping: its Act
+            // reaches the old host.
+            let (done, stale) = bounded(1);
+            let corr = cluster.inner.next_corr();
+            cluster.inner.pending_events.lock().insert(corr, done);
+            let event = EventDescriptor {
+                id: EventId::new(cluster.inner.directory.next_raw()),
+                client: None,
+                corr,
+                target: leaf,
+                method: "add".into(),
+                args: args![5i64],
+                mode: AccessMode::Exclusive,
+            };
+            let act = ClusterMessage::Act {
+                event,
+                sequencer: to,
+            };
+            cluster.inner.send(servers[0], act).unwrap();
+            queued_on_to(3);
+            release.send(()).unwrap();
+            parked.wait().unwrap();
+            migration.join().unwrap().unwrap();
+            transfer
+                .wait()
+                .expect("the deposit follows the migrated account");
+            let deposit = stale.recv_timeout(EVENT_TIMEOUT).unwrap();
+            deposit.expect("the sequencing request follows the account too");
+        });
+        assert_eq!(cluster.placement_of(to).unwrap(), servers[1]);
+        let read = |till| {
+            client
+                .submit_readonly_event(till, "read", args![])
+                .unwrap()
+                .wait()
+        };
+        assert_eq!(read(from).unwrap(), Value::from(70i64));
+        assert_eq!(read(to).unwrap(), Value::from(130i64));
+        assert_eq!(read(leaf).unwrap(), Value::from(5i64));
+        cluster.shutdown();
+    }
+}

@@ -157,6 +157,16 @@ impl NodeHandle {
     }
 }
 
+#[cfg(test)]
+impl NodeHandle {
+    /// Events waiting for `context`'s activation lock on this node.
+    pub(crate) fn queued_on(&self, context: ContextId) -> usize {
+        self.shared
+            .local(context)
+            .map_or(0, |hosted| hosted.lock.queued_count())
+    }
+}
+
 impl NodeShared {
     fn poison_all(&self) {
         for hosted in self.contexts.read().values() {
@@ -215,6 +225,17 @@ impl NodeShared {
 
     fn local(&self, context: ContextId) -> Option<Arc<HostedContext>> {
         self.contexts.read().get(&context).cloned()
+    }
+
+    /// Whether a failed activation of `hosted` means a migration moved
+    /// `context` away while the request waited (the lock it queued on was
+    /// orphaned and poisoned).  The request should then follow the context
+    /// to its new host; on a crashed or shut-down node it fails fast.
+    fn moved_away(&self, context: ContextId, hosted: &Arc<HostedContext>) -> bool {
+        self.running.load(Ordering::SeqCst)
+            && !self
+                .local(context)
+                .is_some_and(|current| Arc::ptr_eq(&current, hosted))
     }
 
     /// Hands a potentially blocking message handler to the worker pool,
@@ -542,7 +563,15 @@ fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Conte
         shared.root_lock.activate(event.id, event.mode)
     } else {
         match shared.local(sequencer) {
-            Some(hosted) => hosted.lock.activate(event.id, event.mode),
+            Some(hosted) => match hosted.lock.activate(event.id, event.mode) {
+                Err(_) if shared.moved_away(sequencer, &hosted) => {
+                    // The sequencer migrated while the event waited: route
+                    // the Act again, which forwards it to the new host.
+                    dispatch(shared, ClusterMessage::Act { event, sequencer });
+                    return;
+                }
+                activation => activation,
+            },
             None => Err(AeonError::ContextNotFound(sequencer)),
         }
     };
@@ -800,13 +829,14 @@ fn handle_migrate(shared: &Arc<NodeShared>, corr: u64, context: ContextId, to: S
         (hosted.class.clone(), object.snapshot())
     };
     shared.contexts.write().remove(&context);
+    shared.forwarding.write().insert(context, to);
     // The old lock is now orphaned: anyone who cloned the hosted entry
     // before the removal (an event or a subtree freeze racing with this
-    // migration) must fail fast instead of blocking forever on a lock
-    // whose exclusive holder never releases — or, worse, capturing the
-    // stale pre-migration state.
+    // migration) must stop waiting on a lock whose exclusive holder never
+    // releases — or, worse, capturing the stale pre-migration state.
+    // Forwarding is in place first, so woken event requests follow the
+    // context to `to` (see `NodeShared::moved_away`); a freeze fails.
     hosted.lock.poison();
-    shared.forwarding.write().insert(context, to);
     shared.send(
         to,
         ClusterMessage::Install {
@@ -999,9 +1029,20 @@ impl RemoteExecution {
                 self.event
             )));
         }
-        match self.locate(target)? {
+        let hosted = loop {
+            let Some(hosted) = self.locate(target)? else {
+                break None;
+            };
+            match hosted.lock.activate(self.event, self.mode) {
+                Ok(()) => break Some(hosted),
+                // Migrated while this call waited: locate it again, which
+                // follows `forwarding` to the new host.
+                Err(_) if self.node.moved_away(target, &hosted) => {}
+                Err(error) => return Err(error),
+            }
+        };
+        match hosted {
             Some(hosted) => {
-                hosted.lock.activate(self.event, self.mode)?;
                 self.node.record_hold(self.event, target);
                 self.call_stack.push(target);
                 let outcome = {

@@ -15,6 +15,12 @@
 //! workload produces a snapshot event whose member reads interleave with a
 //! transfer — a conflict cycle the checker rejects.
 //!
+//! The same seeded client driver, with fault injection off, backs the
+//! fault-free bank runs on the runtime and the channel cluster: transfers
+//! with synchronous and `async` deposit legs race read-only audits, and
+//! every run must conserve money, let no audit observe a torn transfer, and
+//! record a history the checker orders completely.
+//!
 //! Runs are seeded (`AEON_CHAOS_SEED`) so failures are reproducible; CI
 //! runs this file in release mode under a timeout.
 
@@ -52,26 +58,58 @@ fn chaos_config() -> BankWorldConfig {
     }
 }
 
+/// The operation mix a client thread draws from.
+#[derive(Debug, Clone, Copy)]
+struct Mix {
+    /// One operation in `audit_one_in` is a read-only `Bank::audit`.
+    audit_one_in: u32,
+    /// Share of transfers, in percent, that use `transfer_async`.
+    async_percent: u32,
+}
+
+/// The chaos runs' mix: synchronous transfers and occasional audits.
+const CHAOS_MIX: Mix = Mix {
+    audit_one_in: 12,
+    async_percent: 0,
+};
+
+/// What one client thread observed.
+#[derive(Debug, Default)]
+struct ClientLog {
+    transfers: usize,
+    async_transfers: usize,
+    /// Totals returned by the audits that succeeded.
+    audit_totals: Vec<i64>,
+    failed: usize,
+}
+
+impl ClientLog {
+    fn submitted(&self) -> usize {
+        self.transfers + self.async_transfers + self.audit_totals.len() + self.failed
+    }
+}
+
 /// Spawns the client threads: each submits a seeded random stream of
-/// transfers and audits, tolerating errors (fault injection makes some
-/// events fail), and pausing while the driver performs a crash.
+/// transfers and audits drawn from `mix`, counting failures instead of
+/// stopping on them, and pausing while the driver performs a crash.
 fn spawn_clients(
-    cluster: &Cluster,
+    deployment: &dyn Deployment,
     world: &BankWorld,
     seed: u64,
+    mix: Mix,
     stop: &Arc<AtomicBool>,
     pause: &Arc<AtomicBool>,
-) -> Vec<thread::JoinHandle<usize>> {
+) -> Vec<thread::JoinHandle<ClientLog>> {
     (0..CLIENTS)
         .map(|c| {
-            let session = cluster.client();
+            let session = deployment.session();
             let world = world.clone();
             let stop = Arc::clone(stop);
             let pause = Arc::clone(pause);
             thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ ((c as u64 + 1) << 32));
-                let mut submitted = 0usize;
-                while submitted < OPS_PER_CLIENT && !stop.load(Ordering::SeqCst) {
+                let mut log = ClientLog::default();
+                while log.submitted() < OPS_PER_CLIENT && !stop.load(Ordering::SeqCst) {
                     if pause.load(Ordering::SeqCst) {
                         thread::sleep(Duration::from_millis(2));
                         continue;
@@ -81,22 +119,40 @@ fn spawn_clients(
                     let from = accounts[rng.gen_range(0..accounts.len())];
                     let to = accounts[rng.gen_range(0..accounts.len())];
                     let amount = rng.gen_range(1..10i64);
-                    let outcome = if rng.gen_range(0..12) == 0 {
-                        session
-                            .submit_readonly_event(world.bank, "audit", args![])
-                            .and_then(|h| h.wait())
-                    } else {
-                        session
-                            .submit_event(world.branches[b], "transfer", args![from, to, amount])
-                            .and_then(|h| h.wait())
-                    };
                     // Errors are expected under fault injection (crashed
                     // members, in-flight migrations); the order-level check
-                    // at the end is what matters.
-                    let _ = outcome;
-                    submitted += 1;
+                    // at the end is what matters there.
+                    if rng.gen_range(0..mix.audit_one_in) == 0 {
+                        match session
+                            .submit_readonly_event(world.bank, "audit", args![])
+                            .and_then(|h| h.wait())
+                        {
+                            Ok(total) => log
+                                .audit_totals
+                                .push(total.as_i64().expect("audit returns an integer")),
+                            Err(_) => log.failed += 1,
+                        }
+                    } else {
+                        // No draw without async transfers, so the chaos
+                        // runs keep their seeded schedules.
+                        let asynchronous =
+                            mix.async_percent > 0 && rng.gen_range(0..100) < mix.async_percent;
+                        let method = if asynchronous {
+                            "transfer_async"
+                        } else {
+                            "transfer"
+                        };
+                        match session
+                            .submit_event(world.branches[b], method, args![from, to, amount])
+                            .and_then(|h| h.wait())
+                        {
+                            Ok(_) if asynchronous => log.async_transfers += 1,
+                            Ok(_) => log.transfers += 1,
+                            Err(_) => log.failed += 1,
+                        }
+                    }
                 }
-                submitted
+                log
             })
         })
         .collect()
@@ -159,7 +215,7 @@ fn run_chaos(seed: u64, torn: bool, transport: ClusterTransport) -> History {
 
     let stop = Arc::new(AtomicBool::new(false));
     let pause = Arc::new(AtomicBool::new(false));
-    let clients = spawn_clients(&cluster, &world, seed, &stop, &pause);
+    let clients = spawn_clients(&cluster, &world, seed, CHAOS_MIX, &stop, &pause);
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut checkpoint: Option<Snapshot> = None;
@@ -210,7 +266,10 @@ fn run_chaos(seed: u64, torn: bool, transport: ClusterTransport) -> History {
         }
     }
     stop.store(true, Ordering::SeqCst);
-    let submitted: usize = clients.into_iter().map(|c| c.join().unwrap()).sum();
+    let submitted: usize = clients
+        .into_iter()
+        .map(|c| c.join().unwrap().submitted())
+        .sum();
     assert_eq!(submitted, CLIENTS * OPS_PER_CLIENT);
     cluster.shutdown();
     recorder.history()
@@ -247,6 +306,184 @@ fn chaos_cluster_history_is_strictly_serializable_over_tcp_loopback() {
     );
     if let Err(violation) = check_strict_serializability(&history) {
         panic!("tcp-loopback seed {seed}: {violation}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fault-free bank runs on the runtime and the channel cluster
+// ---------------------------------------------------------------------------
+
+/// The live backends the fault-free bank runs cover.
+const LIVE_BACKENDS: [Backend; 2] = [Backend::Runtime, Backend::Cluster];
+
+/// A fresh four-server deployment of `backend` with the bank deployed,
+/// each branch's exclusive subtree moved to its own server (shared
+/// accounts stay put), and a recorder installed once setup is done.
+fn deploy_recorded_bank(
+    backend: Backend,
+    config: &BankWorldConfig,
+) -> (Box<dyn Deployment>, BankWorld, HistoryRecorder) {
+    let deployment = aeon::deploy(DeployConfig {
+        servers: 4,
+        class_graph: Some(bank_class_graph()),
+        ..DeployConfig::new(backend)
+    })
+    .unwrap();
+    register_bank_factories(&*deployment);
+    let world = deploy_bank(&*deployment, config).unwrap();
+    let servers = deployment.servers();
+    for (b, branch) in world.branches.iter().enumerate() {
+        let server = servers[b % servers.len()];
+        let exclusive = &world.accounts_of[b][..config.accounts_per_branch];
+        for context in std::iter::once(branch).chain(exclusive) {
+            deployment.migrate_context(*context, server).unwrap();
+        }
+    }
+    let recorder = HistoryRecorder::new();
+    deployment.install_history_sink(Arc::new(recorder.clone()));
+    (deployment, world, recorder)
+}
+
+/// Runs the seeded clients with `mix` to completion, with no fault
+/// injection, then asserts that no event failed, every audit and the final
+/// audit saw the expected total, and the checker orders every recorded
+/// event.  Returns the client logs.
+fn run_fault_free_bank(
+    backend: Backend,
+    config: &BankWorldConfig,
+    mix: Mix,
+    seed: u64,
+) -> Vec<ClientLog> {
+    let (deployment, world, recorder) = deploy_recorded_bank(backend, config);
+    let expected = world.expected_total(config);
+    let stop = Arc::new(AtomicBool::new(false));
+    let pause = Arc::new(AtomicBool::new(false));
+    let logs: Vec<ClientLog> = spawn_clients(&*deployment, &world, seed, mix, &stop, &pause)
+        .into_iter()
+        .map(|c| c.join().unwrap())
+        .collect();
+    let history = recorder.history();
+    let final_total = deployment
+        .session()
+        .call_readonly(world.bank, "audit", args![])
+        .unwrap();
+    deployment.shutdown();
+
+    let label = format!("{backend} backend, seed {seed}");
+    assert_eq!(logs.iter().map(|l| l.failed).sum::<usize>(), 0, "{label}");
+    for log in &logs {
+        assert_eq!(log.submitted(), OPS_PER_CLIENT, "{label}");
+        for total in &log.audit_totals {
+            assert_eq!(
+                *total, expected,
+                "{label}: an audit observed a torn transfer"
+            );
+        }
+    }
+    assert_eq!(
+        final_total,
+        Value::from(expected),
+        "{label}: money is conserved"
+    );
+    match check_strict_serializability(&history) {
+        Ok(order) => assert_eq!(
+            order.order.len(),
+            history.event_count(),
+            "{label}: the serial order covers every recorded event"
+        ),
+        Err(violation) => panic!("{label}: {violation}"),
+    }
+    logs
+}
+
+#[test]
+fn concurrent_bank_run_is_strictly_serializable_and_conserves_money() {
+    let mix = Mix {
+        audit_one_in: 7,
+        async_percent: 40,
+    };
+    for backend in LIVE_BACKENDS {
+        let logs = run_fault_free_bank(backend, &chaos_config(), mix, chaos_seed());
+        assert!(logs
+            .iter()
+            .all(|l| l.transfers > 0 && l.async_transfers > 0));
+        assert!(logs.iter().any(|l| !l.audit_totals.is_empty()));
+    }
+}
+
+/// Without shared accounts every branch is its own dominator, so events on
+/// different branches run fully in parallel; the checker must still find a
+/// serial order.
+#[test]
+fn single_ownership_bank_is_also_serializable() {
+    let config = BankWorldConfig {
+        shared_pairs: 0,
+        ..chaos_config()
+    };
+    let mix = Mix {
+        audit_one_in: 9,
+        async_percent: 20,
+    };
+    for backend in LIVE_BACKENDS {
+        let logs = run_fault_free_bank(backend, &config, mix, chaos_seed() ^ 0x51);
+        assert!(logs.iter().any(|l| l.async_transfers > 0));
+    }
+}
+
+/// Audits running concurrently with transfers must never observe a
+/// partially applied transfer: that would break the total the audit
+/// returns *and* show up as a precedence cycle.
+#[test]
+fn deployment_audit_is_consistent_under_concurrent_transfers() {
+    let mix = Mix {
+        audit_one_in: 3,
+        async_percent: 50,
+    };
+    for backend in LIVE_BACKENDS {
+        let logs = run_fault_free_bank(backend, &chaos_config(), mix, chaos_seed() ^ 0xa0d);
+        let audits: usize = logs.iter().map(|l| l.audit_totals.len()).sum();
+        assert!(
+            audits >= OPS_PER_CLIENT,
+            "{backend}: only {audits} audits ran"
+        );
+        assert!(logs.iter().any(|l| l.async_transfers > 0));
+    }
+}
+
+#[test]
+fn concurrent_increments_on_one_register_never_lose_updates() {
+    const THREADS: usize = 8;
+    const INCREMENTS: usize = 50;
+    let config = chaos_config();
+    for backend in LIVE_BACKENDS {
+        let (deployment, world, recorder) = deploy_recorded_bank(backend, &config);
+        let account = world.accounts[0];
+        thread::scope(|scope| {
+            for _ in 0..THREADS {
+                let session = deployment.session();
+                scope.spawn(move || {
+                    for _ in 0..INCREMENTS {
+                        session.call(account, "add", args![1i64]).unwrap();
+                    }
+                });
+            }
+        });
+        let history = recorder.history();
+        let balance = deployment
+            .session()
+            .call_readonly(account, "read", args![])
+            .unwrap();
+        deployment.shutdown();
+        let adds = (THREADS * INCREMENTS) as i64;
+        assert_eq!(
+            balance,
+            Value::from(config.initial_balance + adds),
+            "{backend}"
+        );
+        assert_eq!(history.operation_count() as i64, adds, "{backend}");
+        assert_eq!(history.operations[&account].len() as i64, adds, "{backend}");
+        check_strict_serializability(&history)
+            .unwrap_or_else(|violation| panic!("{backend}: {violation}"));
     }
 }
 
